@@ -697,6 +697,9 @@ impl CudaSim {
 }
 
 /// FNV-1a over a byte slice (stable, dependency-free content hash).
+/// It stays FNV-1a, not the store's word-at-a-time hash, because its
+/// values fold into simulated output checksums, which the Table-1
+/// behaviour fingerprint pins.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -190,7 +190,7 @@ impl ElfImage {
         if range.end > self.len() {
             return false;
         }
-        self.bytes[range.start as usize..range.end as usize].iter().all(|&b| b == 0)
+        all_zero(&self.bytes[range.start as usize..range.end as usize])
     }
 
     /// Occupancy at the given block size; see [`OccupancyReport`].
@@ -207,8 +207,7 @@ impl ElfImage {
         let mut at = 0u64;
         while at < len {
             let end = (at + block_size).min(len);
-            let chunk = &self.bytes[at as usize..end as usize];
-            let nz = chunk.iter().filter(|&&b| b != 0).count() as u64;
+            let nz = count_nonzero(&self.bytes[at as usize..end as usize]);
             nonzero_bytes += nz;
             if nz > 0 {
                 occupied_blocks += 1;
@@ -248,8 +247,7 @@ impl ElfImage {
         let mut at = range.start;
         while at < end {
             let block_end = (at + block_size).min(end);
-            let chunk = &self.bytes[at as usize..block_end as usize];
-            if chunk.iter().any(|&b| b != 0) {
+            if !all_zero(&self.bytes[at as usize..block_end as usize]) {
                 occupied += block_end - at;
             }
             at = block_end;
@@ -263,8 +261,48 @@ impl ElfImage {
         if range.start >= end {
             return 0;
         }
-        self.bytes[range.start as usize..end as usize].iter().filter(|&&b| b != 0).count() as u64
+        count_nonzero(&self.bytes[range.start as usize..end as usize])
     }
+}
+
+/// `0x7f` in every byte lane of a word.
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// `bytes` as little-endian words, eight bytes at a time; the final
+/// partial word is zero-padded, which neither scan below can tell
+/// apart from absent bytes.
+fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let chunks = bytes.chunks_exact(8);
+    let tail = chunks.remainder();
+    let mut padded = [0u8; 8];
+    padded[..tail.len()].copy_from_slice(tail);
+    chunks
+        .map(|word| u64::from_le_bytes(word.try_into().expect("8-byte word")))
+        .chain((!tail.is_empty()).then(|| u64::from_le_bytes(padded)))
+}
+
+/// Number of non-zero bytes, counted a word at a time. Adding `0x7f`
+/// to a byte's low seven bits carries into its high bit iff they are
+/// non-zero (never into the next byte), and OR-ing the byte back in
+/// covers its own high bit. The popcount of those high bits is batched:
+/// shifted down to one per byte lane, they are summed lane-wise over
+/// runs of 255 words (a lane cannot overflow), and each run's eight
+/// lanes are then added up.
+fn count_nonzero(bytes: &[u8]) -> u64 {
+    bytes
+        .chunks(255 * 8)
+        .map(|run| {
+            let high_bits = |w: u64| (((w & LOW7) + LOW7) | w) & !LOW7;
+            let lanes = words(run).fold(0, |lanes, w| lanes + (high_bits(w) >> 7));
+            let pairs = (lanes & 0x00ff_00ff_00ff_00ff) + ((lanes >> 8) & 0x00ff_00ff_00ff_00ff);
+            pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48
+        })
+        .sum()
+}
+
+/// True if every byte is zero: the OR of all words is zero.
+fn all_zero(bytes: &[u8]) -> bool {
+    words(bytes).fold(0, |acc, w| acc | w) == 0
 }
 
 impl AsRef<[u8]> for ElfImage {
@@ -359,6 +397,144 @@ mod tests {
         let img = ElfImage::from_bytes("t", vec![1u8; 10]);
         assert_eq!(img.nonzero_in(FileRange::new(5, 50)), 5);
         assert_eq!(img.nonzero_in(FileRange::new(20, 30)), 0);
+    }
+
+    /// The byte-at-a-time scans the word-at-a-time helpers replaced,
+    /// kept as the oracle they must agree with exactly.
+    mod bytewise {
+        use super::*;
+
+        pub fn is_zeroed(img: &ElfImage, range: FileRange) -> bool {
+            range.end <= img.len()
+                && img.bytes()[range.start as usize..range.end as usize].iter().all(|&b| b == 0)
+        }
+
+        pub fn occupancy(img: &ElfImage, block_size: u64) -> OccupancyReport {
+            let len = img.len();
+            let mut report = OccupancyReport { block_size, file_len: len, ..Default::default() };
+            let mut at = 0u64;
+            while at < len {
+                let end = (at + block_size).min(len);
+                let nz = img.bytes()[at as usize..end as usize].iter().filter(|&&b| b != 0).count();
+                report.nonzero_bytes += nz as u64;
+                if nz > 0 {
+                    report.occupied_blocks += 1;
+                    report.occupied_bytes += end - at;
+                }
+                at = end;
+            }
+            report
+        }
+
+        pub fn occupied_bytes_in(img: &ElfImage, range: FileRange, block_size: u64) -> u64 {
+            let end = range.end.min(img.len());
+            let mut occupied = 0u64;
+            let mut at = range.start;
+            while at < end {
+                let block_end = (at + block_size).min(end);
+                if img.bytes()[at as usize..block_end as usize].iter().any(|&b| b != 0) {
+                    occupied += block_end - at;
+                }
+                at = block_end;
+            }
+            occupied
+        }
+
+        pub fn nonzero_in(img: &ElfImage, range: FileRange) -> u64 {
+            let end = range.end.min(img.len());
+            if range.start >= end {
+                return 0;
+            }
+            img.bytes()[range.start as usize..end as usize].iter().filter(|&&b| b != 0).count()
+                as u64
+        }
+    }
+
+    /// xorshift64* — deterministic, dependency-free case generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        /// Uniform-ish value in `[lo, hi)`.
+        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next() % (hi - lo)
+        }
+    }
+
+    /// Mostly zero bytes with sparse non-zero ones, drawn from the
+    /// values a wrong SWAR mask miscounts (`0x01`, `0x7f`, `0x80`,
+    /// `0xff`) plus arbitrary ones.
+    fn sparse_bytes(rng: &mut Rng, len: usize) -> Vec<u8> {
+        const EDGES: [u8; 4] = [0x01, 0x7f, 0x80, 0xff];
+        let density = rng.range(1, 64);
+        (0..len)
+            .map(|_| match rng.range(0, 64) {
+                d if d >= density => 0,
+                d if d % 2 == 0 => EDGES[(d / 2 % 4) as usize],
+                _ => rng.next() as u8,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn word_scans_match_the_bytewise_oracle() {
+        const MAX_LEN: u64 = 3 * 4096 + 7;
+        let mut rng = Rng(0x5eed_0c0c_u64.wrapping_mul(2).wrapping_add(1));
+        let lens = (0..=64).chain([4095, 4096, 4097, 8191, 8199, MAX_LEN - 1, MAX_LEN]);
+        let lens: Vec<u64> = lens.chain((0..48).map(|_| rng.range(0, MAX_LEN + 1))).collect();
+        for len in lens {
+            let img = ElfImage::from_bytes("t", sparse_bytes(&mut rng, len as usize));
+            for block in [1, 7, 4096] {
+                assert_eq!(img.occupancy(block), bytewise::occupancy(&img, block), "len {len}");
+            }
+            for _ in 0..16 {
+                // Unaligned starts; ends may run past the file to hit
+                // the clamping paths.
+                let start = rng.range(0, len + 2);
+                let range = FileRange::new(start, rng.range(start, len + 10));
+                let case = format!("len {len}, range {range:?}");
+                assert_eq!(img.is_zeroed(range), bytewise::is_zeroed(&img, range), "{case}");
+                assert_eq!(img.nonzero_in(range), bytewise::nonzero_in(&img, range), "{case}");
+                for block in [1, 7, 4096] {
+                    assert_eq!(
+                        img.occupied_bytes_in(range, block),
+                        bytewise::occupied_bytes_in(&img, range, block),
+                        "{case}, block {block}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_scans_see_every_edge_byte_at_every_word_lane() {
+        for value in [0x01u8, 0x7f, 0x80, 0xff] {
+            for at in 0..24 {
+                let mut bytes = vec![0u8; 24];
+                bytes[at] = value;
+                let img = ElfImage::from_bytes("t", bytes);
+                let whole = FileRange::new(0, 24);
+                assert_eq!(img.nonzero_in(whole), 1, "{value:#04x} at {at}");
+                assert!(!img.is_zeroed(whole), "{value:#04x} at {at}");
+                assert_eq!(img.occupancy(8), bytewise::occupancy(&img, 8));
+            }
+        }
+        let all = ElfImage::from_bytes("t", vec![0xff; 21]);
+        assert_eq!(all.nonzero_in(FileRange::new(0, 21)), 21);
+        assert_eq!(all.nonzero_in(FileRange::new(3, 20)), 17);
+        // Dense runs far past 255 words: per-lane sums stay exact.
+        let len = 3 * 4096 + 7;
+        let dense = ElfImage::from_bytes("t", vec![0xff; len as usize]);
+        assert_eq!(dense.nonzero_in(FileRange::new(0, len)), len);
+        assert_eq!(dense.occupancy(4096).nonzero_bytes, len);
     }
 
     #[test]

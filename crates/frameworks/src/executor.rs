@@ -129,7 +129,8 @@ pub struct RunOutcome {
     pub metrics: WorkloadMetrics,
 }
 
-/// FNV-1a-style order-sensitive checksum fold.
+/// FNV-1a-style order-sensitive checksum fold. It defines the output
+/// checksums the Table-1 behaviour fingerprint pins, so it stays as is.
 fn mix(h: &mut u64, v: u64) {
     *h ^= v;
     *h = h.wrapping_mul(0x0000_0100_0000_01b3).rotate_left(17);

@@ -7,7 +7,9 @@
 use crate::ops::OpFamily;
 
 /// FNV-1a (used for stable name suffixes; independent of `simcuda`'s
-/// internal hashing).
+/// internal hashing). It stays FNV-1a because its values pick generated
+/// names and seed output checksums: changing it changes every bundle
+/// and the Table-1 behaviour fingerprint that pins them.
 pub fn stable_hash(parts: &[&str]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {

@@ -412,18 +412,86 @@ impl Cursor<'_> {
     }
 }
 
-/// FNV-1a over raw bytes — the content hash behind the artifact store's
-/// addressing. Independent of [`simml::namegen::stable_hash`] (which
-/// folds *strings* with separators); this one hashes exact byte
-/// streams, so any single-bit change in a stored file changes the
-/// digest.
+/// The content hash behind the artifact store's addressing: object
+/// names, `plan_hash`, `manifest_hash`, and the bundle fingerprint that
+/// keys the verification memo. Independent of
+/// [`simml::namegen::stable_hash`] (which folds *strings* with
+/// separators); this one hashes exact byte streams.
+///
+/// What it guarantees:
+///
+/// * **Bit-sensitivity.** For inputs of equal length the digest is a
+///   bijective function of each aligned 8-byte word with the others
+///   held fixed, so any change confined to one word — in particular
+///   every single-bit flip — changes the digest.
+/// * **Length is folded in**, so trailing zero bytes are not lost in
+///   the zero-padded last word.
+/// * **Platform-independent.** Input is read as little-endian `u64`
+///   words, so a file's name is the same on every host.
+///
+/// The body reads 32-byte stripes into four independent
+/// multiply-rotate lanes (a dependency chain per lane, not per byte),
+/// merges the lanes, folds in the length and the trailing words, and
+/// finishes with an invertible xor-shift/multiply mix. The lane step,
+/// the primes and the final mix are xxHash64's; the lane merge and the
+/// tail fold are not, so digests are not xxHash64 values. It is a
+/// checksum against corruption and accidental collisions, not a
+/// cryptographic digest.
 pub fn content_hash(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut stripes = bytes.chunks_exact(32);
+    let mut hash = if bytes.len() >= 32 {
+        let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in &mut stripes {
+            lanes[0] = lane_round(lanes[0], le_word(&stripe[..8]));
+            lanes[1] = lane_round(lanes[1], le_word(&stripe[8..16]));
+            lanes[2] = lane_round(lanes[2], le_word(&stripe[16..24]));
+            lanes[3] = lane_round(lanes[3], le_word(&stripe[24..]));
+        }
+        lanes.iter().fold(0, |hash, &lane| fold_word(hash, lane))
+    } else {
+        P5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        hash = fold_word(hash, le_word(word));
     }
-    hash
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        hash = fold_word(hash, u64::from_le_bytes(padded));
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
+}
+
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// One lane step. Odd multipliers and a rotation make it a bijection in
+/// `acc` for a fixed `word` and in `word` for a fixed `acc`. The word is
+/// multiplied before it is added so that a sparse change to it reaches
+/// the lane as a dense one; adding raw words lets pairs of bit flips
+/// collide.
+fn lane_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+}
+
+/// Fold one lane or trailing word into the running hash; bijective in
+/// each argument with the other fixed, like [`lane_round`].
+fn fold_word(hash: u64, word: u64) -> u64 {
+    (hash ^ lane_round(0, word)).rotate_left(27).wrapping_mul(P1).wrapping_add(P4)
+}
+
+fn le_word(word: &[u8]) -> u64 {
+    u64::from_le_bytes(word.try_into().expect("8-byte word"))
 }
 
 #[cfg(test)]
@@ -551,11 +619,59 @@ mod tests {
     }
 
     #[test]
+    fn content_hash_is_deterministic_and_pinned() {
+        assert_eq!(content_hash(b"negativa"), content_hash(b"negativa"));
+        // Object names are digests: a platform, endianness or algorithm
+        // drift must fail here, not as unreadable registry roots.
+        assert_eq!(content_hash(b""), 0xef46_db37_51d8_e999);
+        let bytes: Vec<u8> = (0u8..=99).collect();
+        assert_eq!(content_hash(&bytes), 0xfef6_114c_69a3_4ec6);
+    }
+
+    #[test]
     fn content_hash_is_bit_sensitive() {
-        let a = content_hash(b"negativa");
-        assert_eq!(a, content_hash(b"negativa"), "deterministic");
-        assert_ne!(a, content_hash(b"negativb"));
-        assert_ne!(content_hash(&[0x00]), content_hash(&[0x01]));
-        assert_ne!(content_hash(b""), content_hash(&[0x00]), "length is part of the digest");
+        // 97 bytes: three full stripes plus a one-byte tail, so the
+        // flips cover the lanes, the trailing-word fold and the padded
+        // tail.
+        let base: Vec<u8> = (0..97u32).map(|i| (i.wrapping_mul(37) ^ 0x5a) as u8).collect();
+        let digest = content_hash(&base);
+        for at in 0..base.len() {
+            for bit in 0..8 {
+                let mut flipped = base.clone();
+                flipped[at] ^= 1 << bit;
+                assert_ne!(content_hash(&flipped), digest, "flip of bit {bit} in byte {at}");
+            }
+        }
+        let mut appended = base.clone();
+        appended.push(0x00);
+        assert_ne!(content_hash(&appended), digest, "length is part of the digest");
+    }
+
+    #[test]
+    fn content_hash_separates_every_pair_of_bit_flips() {
+        // Beyond the single-flip guarantee: all two-bit corruptions of a
+        // 64-byte buffer (two stripes) hash apart from each other and
+        // from the original.
+        let base: Vec<u8> = (0..64u32).map(|i| (i.wrapping_mul(101) ^ 0xc3) as u8).collect();
+        let bits = base.len() * 8;
+        let mut digests = std::collections::HashSet::new();
+        digests.insert(content_hash(&base));
+        for i in 0..bits {
+            for j in i + 1..bits {
+                let mut flipped = base.clone();
+                flipped[i / 8] ^= 1 << (i % 8);
+                flipped[j / 8] ^= 1 << (j % 8);
+                assert!(digests.insert(content_hash(&flipped)), "flips {i} and {j} collide");
+            }
+        }
+    }
+
+    #[test]
+    fn content_hash_of_zero_runs_is_distinct_per_length() {
+        let digests: Vec<u64> = (0..=64).map(|n| content_hash(&vec![0u8; n])).collect();
+        let mut unique = digests.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), digests.len(), "zero runs of lengths 0..=64 collide");
     }
 }

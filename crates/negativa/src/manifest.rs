@@ -11,14 +11,15 @@
 //! ```
 //!
 //! The manifest is *content-addressed*: every library entry carries the
-//! FNV-1a digest of its exact stored bytes ([`crate::codec::content_hash`]),
+//! digest of its exact stored bytes ([`crate::codec::content_hash`]),
 //! which doubles as the object file name; `plan.json` is pinned the
 //! same way through [`StoreManifest::plan_hash`]. The manifest protects
 //! itself with an embedded **self-hash**: the digest of the manifest
 //! bytes rendered with the `manifest_hash` field zeroed, spliced into
 //! the fixed-width placeholder afterwards. Any single-byte corruption
-//! of the file therefore fails decoding — either the JSON no longer
-//! parses, or the recomputed self-hash no longer matches.
+//! of the file therefore fails decoding — the JSON no longer parses,
+//! the format version no longer matches, or the recomputed self-hash
+//! no longer does.
 //!
 //! All 64-bit identities (hashes, checksums, fingerprints, nanosecond
 //! counters, byte offsets) are stored as fixed-width hex strings
@@ -47,7 +48,12 @@ use crate::report::LibraryReport;
 /// `compressed_rewritten` counters to each library entry. v1 manifests
 /// are rejected by the version gate with a typed "unsupported manifest
 /// format version" error, never a missing-field parse error.
-pub const FORMAT_VERSION: u32 = 2;
+///
+/// **v3** changed [`content_hash`] from byte-at-a-time FNV-1a to the
+/// word-at-a-time hash, so every object name, `plan_hash` and
+/// self-hash differs from v2. The gate runs before the self-hash
+/// check, so a v2 root reports its version, not a hash mismatch.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// File name of the store's index at the artifact root.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
@@ -72,7 +78,11 @@ pub const MANIFESTS_DIR: &str = "manifests";
 /// GC metadata) without invalidating every artifact manifest it points
 /// at. Decoding rejects other versions through the same
 /// gate-before-schema rule as the manifest.
-pub const REGISTRY_FORMAT_VERSION: u32 = 1;
+///
+/// **v2** follows manifest v3's change of [`content_hash`]: record
+/// `manifest_hash`es, object names and the index self-hash all differ
+/// from v1.
+pub const REGISTRY_FORMAT_VERSION: u32 = 2;
 
 const HASH_KEY: &str = "manifest_hash";
 
@@ -84,7 +94,7 @@ const REGISTRY_HASH_KEY: &str = "registry_hash";
 pub struct ManifestEntry {
     /// Shared object name, in bundle (provider-resolution) order.
     pub soname: String,
-    /// FNV-1a digest of the stored bytes; also the object file name
+    /// [`content_hash`] of the stored bytes; also the object file name
     /// (`objects/<hash as 16 hex digits>.bin`).
     pub content_hash: u64,
     /// Exact stored length in bytes.
@@ -149,9 +159,11 @@ impl StoreManifest {
         text.replacen(&hash_field(0), &hash_field(hash), 1)
     }
 
-    /// Decode and integrity-check `MANIFEST.json` bytes: parse, verify
-    /// the embedded self-hash against the file content, and check the
-    /// format version.
+    /// Decode and integrity-check `MANIFEST.json` bytes: parse, check
+    /// the format version, and verify the embedded self-hash against
+    /// the file content. The version comes first because the self-hash
+    /// algorithm is part of the format: an older manifest must report
+    /// its version, not a self-hash mismatch.
     ///
     /// # Errors
     ///
@@ -161,6 +173,16 @@ impl StoreManifest {
     /// [`crate::store::StoreError::CorruptManifest`].
     pub fn decode(text: &str) -> Result<StoreManifest, String> {
         let doc = JsonValue::parse(text)?;
+        // Version gate *before* the self-hash and schema decoding: a
+        // manifest of another version must report "unsupported
+        // version", not whatever its other hash algorithm or changed
+        // schema happens to trip first.
+        let version = get_usize(&doc, "format_version")? as u32;
+        if version != FORMAT_VERSION {
+            return Err(format!(
+                "unsupported manifest format version {version} (this build reads {FORMAT_VERSION})"
+            ));
+        }
         let stored_hash =
             doc.get(HASH_KEY).and_then(JsonValue::as_u64).ok_or_else(|| missing(HASH_KEY))?;
         let stamped = hash_field(stored_hash);
@@ -173,15 +195,6 @@ impl StoreManifest {
             return Err(format!(
                 "manifest self-hash mismatch: stored {stored_hash:#018x}, content hashes to \
                  {actual:#018x} — the file was modified after publishing"
-            ));
-        }
-        // Version gate *before* schema decoding: a future-version
-        // manifest must report "unsupported version", not whatever
-        // missing-field error its changed schema happens to trip first.
-        let version = get_usize(&doc, "format_version")? as u32;
-        if version != FORMAT_VERSION {
-            return Err(format!(
-                "unsupported manifest format version {version} (this build reads {FORMAT_VERSION})"
             ));
         }
         Self::from_json(&doc)
@@ -264,7 +277,7 @@ fn hash_field(hash: u64) -> String {
 /// rule, applied across artifacts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectRef {
-    /// FNV-1a digest of the object bytes; also the pool file name.
+    /// [`content_hash`] of the object bytes; also the pool file name.
     pub hash: u64,
     /// Exact stored length in bytes.
     pub byte_len: u64,
@@ -345,10 +358,11 @@ impl RegistryIndex {
         text.replacen(&registry_hash_field(0), &registry_hash_field(hash), 1)
     }
 
-    /// Decode and integrity-check `REGISTRY.json` bytes: parse, verify
-    /// the embedded self-hash, and gate the format version *before*
-    /// schema decoding — a future-version index reports "unsupported
-    /// version", never a missing-field error.
+    /// Decode and integrity-check `REGISTRY.json` bytes: parse, gate
+    /// the format version, then verify the embedded self-hash and
+    /// decode the schema — an index of another version reports
+    /// "unsupported version", never a self-hash mismatch or a
+    /// missing-field error.
     ///
     /// # Errors
     ///
@@ -356,6 +370,13 @@ impl RegistryIndex {
     /// [`crate::store::StoreError::CorruptIndex`].
     pub fn decode(text: &str) -> Result<RegistryIndex, String> {
         let doc = JsonValue::parse(text)?;
+        let version = get_usize(&doc, "format_version")? as u32;
+        if version != REGISTRY_FORMAT_VERSION {
+            return Err(format!(
+                "unsupported registry index format version {version} (this build reads \
+                 {REGISTRY_FORMAT_VERSION})"
+            ));
+        }
         let stored_hash = doc
             .get(REGISTRY_HASH_KEY)
             .and_then(JsonValue::as_u64)
@@ -370,13 +391,6 @@ impl RegistryIndex {
             return Err(format!(
                 "registry index self-hash mismatch: stored {stored_hash:#018x}, content hashes \
                  to {actual:#018x} — the file was modified after it was written"
-            ));
-        }
-        let version = get_usize(&doc, "format_version")? as u32;
-        if version != REGISTRY_FORMAT_VERSION {
-            return Err(format!(
-                "unsupported registry index format version {version} (this build reads \
-                 {REGISTRY_FORMAT_VERSION})"
             ));
         }
         Ok(RegistryIndex {
@@ -1097,27 +1111,28 @@ mod tests {
 
     #[test]
     fn v1_manifests_fail_with_the_version_error_not_a_parse_error() {
-        // Reconstruct what a v1 publisher wrote: `format_version` 1 and
-        // the old scalar `arch` field instead of v2's `fleet` array,
-        // with a correctly spliced self-hash — so the only thing that
-        // can object is the version gate, and it must fire *before*
-        // schema decoding trips over the missing v2 fields.
+        // Reconstruct what a v1 publisher wrote: `format_version` 1, the
+        // old scalar `arch` field instead of v2's `fleet` array, and an
+        // FNV-1a self-hash — so the only thing that may object is the
+        // version gate, and it must fire *before* the self-hash check
+        // and schema decoding trip over the missing v2 fields.
         let mut old = sample_manifest().encode();
-        old = old.replacen("\"format_version\": 2", "\"format_version\": 1", 1);
+        old = old.replacen(
+            &format!("\"format_version\": {FORMAT_VERSION}"),
+            "\"format_version\": 1",
+            1,
+        );
         let fleet_start = old.find("\"fleet\":").expect("v2 manifests carry a fleet field");
         let fleet_end = fleet_start + old[fleet_start..].find(']').expect("fleet is an array") + 1;
         old.replace_range(fleet_start..fleet_end, "\"arch\": 75");
-        let hash_start = old.find(&format!("\"{HASH_KEY}\":")).expect("self-hash field present");
-        old.replace_range(hash_start..hash_start + hash_field(0).len(), &hash_field(0));
-        let rehashed = content_hash(old.as_bytes());
-        let old = old.replacen(&hash_field(0), &hash_field(rehashed), 1);
+        let old = restamp(&old, hash_field, fnv1a);
 
         let err = StoreManifest::decode(&old).unwrap_err();
         assert!(
             err.contains("unsupported manifest format version 1"),
             "v1 must hit the version gate, got: {err}"
         );
-        assert!(err.contains("this build reads 2"), "{err}");
+        assert!(err.contains(&format!("this build reads {FORMAT_VERSION}")), "{err}");
         assert!(!err.contains("missing required field"), "{err}");
     }
 
@@ -1183,36 +1198,53 @@ mod tests {
         }
     }
 
+    /// Byte-at-a-time FNV-1a: the self-hash of manifest v2 and registry
+    /// index v1, kept to forge files exactly as older builds wrote them.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Re-stamp the self-hash `field` of `text` with `hash` over the
+    /// zeroed form, the way the encoders splice it in.
+    fn restamp(text: &str, field: fn(u64) -> String, hash: fn(&[u8]) -> u64) -> String {
+        let mut text = text.to_string();
+        let key = field(0);
+        let start = text.find(&key[..key.find(':').unwrap()]).expect("self-hash field present");
+        text.replace_range(start..start + key.len(), &key);
+        let digest = hash(text.as_bytes());
+        text.replacen(&key, &field(digest), 1)
+    }
+
     #[test]
     fn registry_index_versions_are_gated_before_schema_decoding() {
         // A future-version index with a correctly spliced self-hash and
-        // a record shape this build has never seen: only the version
-        // gate may object, and it must fire before any field decoding.
-        let mut next = sample_index().encode();
-        next = next.replacen(
-            &format!("\"format_version\": {REGISTRY_FORMAT_VERSION}"),
-            &format!("\"format_version\": {}", REGISTRY_FORMAT_VERSION + 1),
-            1,
-        );
-        next = next.replacen("\"artifact_id\"", "\"artifact_ref\"", 1);
-        let hash_start =
-            next.find(&format!("\"{REGISTRY_HASH_KEY}\":")).expect("self-hash field present");
-        next.replace_range(
-            hash_start..hash_start + registry_hash_field(0).len(),
-            &registry_hash_field(0),
-        );
-        let rehashed = content_hash(next.as_bytes());
-        let next = next.replacen(&registry_hash_field(0), &registry_hash_field(rehashed), 1);
+        // a record shape this build has never seen, and a previous-
+        // version index self-hashed the way the previous build did:
+        // only the version gate may object, and it must fire before
+        // the self-hash check and any field decoding.
+        let future = REGISTRY_FORMAT_VERSION + 1;
+        let previous = REGISTRY_FORMAT_VERSION - 1;
+        for (version, hash) in [(future, content_hash as fn(&[u8]) -> u64), (previous, fnv1a)] {
+            let mut text = sample_index().encode().replacen(
+                &format!("\"format_version\": {REGISTRY_FORMAT_VERSION}"),
+                &format!("\"format_version\": {version}"),
+                1,
+            );
+            if version == future {
+                text = text.replacen("\"artifact_id\"", "\"artifact_ref\"", 1);
+            }
+            let text = restamp(&text, registry_hash_field, hash);
 
-        let err = RegistryIndex::decode(&next).unwrap_err();
-        assert!(
-            err.contains(&format!(
-                "unsupported registry index format version {}",
-                REGISTRY_FORMAT_VERSION + 1
-            )),
-            "future versions must hit the gate, got: {err}"
-        );
-        assert!(!err.contains("missing required field"), "{err}");
+            let err = RegistryIndex::decode(&text).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported registry index format version {version}")),
+                "version {version} must hit the gate, got: {err}"
+            );
+            assert!(!err.contains("missing required field"), "{err}");
+            assert!(!err.contains("self-hash"), "{err}");
+        }
     }
 
     #[test]
@@ -1225,10 +1257,21 @@ mod tests {
         // first, decoding must fail loudly.
         assert!(!err.is_empty());
 
-        let mut old = manifest.clone();
-        old.version = FORMAT_VERSION + 1;
-        let err = StoreManifest::decode(&old.encode()).unwrap_err();
-        assert!(err.contains("version"), "{err}");
+        let mut next = manifest.clone();
+        next.version = FORMAT_VERSION + 1;
+        let mut previous = manifest.clone();
+        previous.version = FORMAT_VERSION - 1;
+        // The previous build self-hashed with FNV-1a: its manifests must
+        // still report their version, not a self-hash mismatch.
+        let previous = restamp(&previous.encode(), hash_field, fnv1a);
+        for (version, text) in [(next.version, next.encode()), (FORMAT_VERSION - 1, previous)] {
+            let err = StoreManifest::decode(&text).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported manifest format version {version}")),
+                "{err}"
+            );
+            assert!(!err.contains("self-hash"), "{err}");
+        }
 
         let plan_text = encode_plan(&sample_plan());
         let err = decode_plan(&plan_text.replace("\"retain\"", "\"unretain\"")).unwrap_err();

@@ -49,7 +49,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -69,7 +69,12 @@ use crate::Result;
 const FRAME_MAGIC: [u8; 4] = *b"NGRP";
 
 /// Wire protocol version carried in every frame header.
-pub const PROTOCOL_VERSION: u16 = 1;
+///
+/// **v2** follows manifest format v3: object hashes, manifest hashes and
+/// the whole-object checks use the word-at-a-time [`content_hash`], so
+/// a v1 peer's hashes would never verify; the header rejects it up
+/// front instead.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Frame header length: magic (4) + version (2) + kind (1) +
 /// reserved (1) + payload length (4).
@@ -1804,8 +1809,16 @@ fn respond(
             // GC sweep cannot delete the object mid-serve.
             let _guard = shared.registry.read().expect("registry lock poisoned");
             let relative = ObjectRef { hash, byte_len: 0 }.object_path();
-            let bytes = match fs::read(shared.root.join(&relative)) {
-                Ok(bytes) => bytes,
+            let internal = |e: io::Error| Response::Error {
+                code: ERR_INTERNAL,
+                text: format!("reading {relative}: {e}"),
+                num: 0,
+            };
+            // Read only the requested range: a pull fetches an object
+            // chunk by chunk, so reading it whole per request would cost
+            // about n/2 object sizes over n chunks.
+            let mut file = match fs::File::open(shared.root.join(&relative)) {
+                Ok(file) => file,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
                     return Response::Error {
                         code: ERR_NOT_FOUND_OBJECT,
@@ -1813,15 +1826,12 @@ fn respond(
                         num: hash,
                     }
                 }
-                Err(e) => {
-                    return Response::Error {
-                        code: ERR_INTERNAL,
-                        text: format!("reading {relative}: {e}"),
-                        num: 0,
-                    }
-                }
+                Err(e) => return internal(e),
             };
-            let total_len = bytes.len() as u64;
+            let total_len = match file.metadata() {
+                Ok(meta) => meta.len(),
+                Err(e) => return internal(e),
+            };
             if offset > total_len {
                 return Response::Error {
                     code: ERR_BAD_REQUEST,
@@ -1831,7 +1841,13 @@ fn respond(
             }
             let len = (len as u64).min(MAX_FRAME_PAYLOAD as u64 / 2);
             let end = (offset + len).min(total_len);
-            Response::Chunk { total_len, bytes: bytes[offset as usize..end as usize].to_vec() }
+            let mut bytes = vec![0u8; (end - offset) as usize];
+            if let Err(e) =
+                file.seek(SeekFrom::Start(offset)).and_then(|_| file.read_exact(&mut bytes))
+            {
+                return internal(e);
+            }
+            Response::Chunk { total_len, bytes }
         }
         Request::Want { record } => {
             let registry = shared.registry.read().expect("registry lock poisoned");

@@ -6,13 +6,14 @@
 
 use std::collections::HashSet;
 use std::fs;
-use std::io;
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use negativa_ml::manifest::OBJECTS_DIR;
-use negativa_ml::net::{FaultInjector, NetError, RetryPolicy, TcpDialer};
+use negativa_ml::net::{FaultInjector, NetError, RetryPolicy, TcpDialer, PROTOCOL_VERSION};
 use negativa_ml::registry::Registry;
 use negativa_ml::store::{DirSource, ObjectSource, Store, StoreError};
 use negativa_ml::{
@@ -128,6 +129,80 @@ fn remote_pull_matches_local_pull_and_cold_verifies() {
     assert!(stats.bytes_received > wire.bytes_shipped, "frames carry at least the object bytes");
     assert!(stats.bytes_sent > 0);
     assert_eq!(stats.retries, 0, "a clean transport retries nothing");
+}
+
+#[test]
+fn small_chunk_pull_range_reads_every_object_byte_identically() {
+    let origin_root = test_root("chunk-origin");
+    let node_root = test_root("chunk-node");
+    let (small, _) = artifacts();
+    let origin = Registry::at(&origin_root);
+    let record = origin.publish(small).unwrap();
+
+    // An odd chunk length: no range starts on a page boundary, and
+    // every object ends in a partial chunk.
+    let chunk_len = 4093;
+    let largest = record.referenced().map(|o| o.byte_len).max().unwrap();
+    assert!(largest > 100 * chunk_len as u64, "objects must span many range reads");
+
+    let server = serve(&origin_root);
+    let policy = RetryPolicy { chunk_len, ..test_policy() };
+    let remote = RemoteRegistry::connect_with(&server.url(), Arc::new(TcpDialer), policy).unwrap();
+    let node = Registry::at(&node_root);
+    let report = remote.pull_into(&node, &record.artifact_id).unwrap();
+    assert!(report.objects_shipped > 0);
+    assert_eq!(pool_bytes(&node_root), pool_bytes(&origin_root));
+    assert_eq!(remote.stats().retries, 0, "every range read is served on the first try");
+}
+
+/// Send one raw `GetObject` frame (the wire's verb 5: hash, offset,
+/// length, little-endian) and return the response frame's verb and
+/// payload.
+fn raw_get_object(addr: SocketAddr, hash: u64, offset: u64, len: u32) -> (u8, Vec<u8>) {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&hash.to_le_bytes());
+    payload.extend_from_slice(&offset.to_le_bytes());
+    payload.extend_from_slice(&len.to_le_bytes());
+    let mut frame = b"NGRP".to_vec();
+    frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+    frame.extend_from_slice(&[5, 0]);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+
+    let mut stream = TcpStream::connect(addr).expect("server accepts");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream.write_all(&frame).unwrap();
+    let mut header = [0u8; 12];
+    stream.read_exact(&mut header).unwrap();
+    assert_eq!(&header[..4], b"NGRP");
+    let mut body = vec![0u8; u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize];
+    stream.read_exact(&mut body).unwrap();
+    (header[6], body)
+}
+
+#[test]
+fn an_object_read_past_the_end_is_a_typed_bad_request() {
+    let origin_root = test_root("range-origin");
+    let (small, _) = artifacts();
+    let record = Registry::at(&origin_root).publish(small).unwrap();
+    let object = record.referenced().find(|o| o.hash != record.plan.hash).unwrap();
+    let server = serve(&origin_root);
+
+    // In range, and at the very end: served, with the object's length.
+    let (verb, body) = raw_get_object(server.addr(), object.hash, 7, 100);
+    assert_eq!(verb, 131, "a chunk response");
+    assert_eq!(u64::from_le_bytes(body[..8].try_into().unwrap()), object.byte_len);
+    let (verb, _) = raw_get_object(server.addr(), object.hash, object.byte_len, 100);
+    assert_eq!(verb, 131, "an empty range at the end is still a chunk");
+
+    // One past the end: the wire's typed error (verb 134) with the
+    // bad-request code (4), naming the offset.
+    let (verb, body) = raw_get_object(server.addr(), object.hash, object.byte_len + 1, 100);
+    assert_eq!(verb, 134, "an error response");
+    assert_eq!(body[0], 4, "bad-request code");
+    let text_len = u32::from_le_bytes(body[1..5].try_into().unwrap()) as usize;
+    let text = std::str::from_utf8(&body[5..5 + text_len]).unwrap();
+    assert!(text.contains("past the end"), "{text}");
 }
 
 /// Replicates `negativa_ml::net`'s xorshift so the test can document
