@@ -10,6 +10,14 @@
 //! trailing garbage — an artifact either round-trips exactly or fails
 //! loudly.
 //!
+//! The reader is linear in the document: each input byte is examined a
+//! bounded number of times (a string's unescaped runs are found with
+//! one scan and copied as whole slices), and each object's keys are
+//! checked for duplicates in O(k log k) once it closes. Every manifest,
+//! plan, index and bench record goes through it, including documents a
+//! peer sent over the wire, so no document of up to one full frame
+//! ([`crate::net::MAX_FRAME_PAYLOAD`]) can stall its reader.
+//!
 //! 64-bit identity values (content hashes, checksums, fingerprints,
 //! nanosecond counters) do **not** fit a JSON `f64` losslessly, so they
 //! are carried as fixed-width hex strings via [`JsonValue::u64`] /
@@ -172,9 +180,10 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first syntax violation.
+    /// A human-readable description of the first syntax violation (a
+    /// duplicate key counts once its object has closed).
     pub fn parse(input: &str) -> Result<JsonValue, String> {
-        let mut cursor = Cursor { bytes: input.as_bytes(), at: 0, depth: 0 };
+        let mut cursor = Cursor::new(input);
         cursor.skip_ws();
         let value = cursor.parse_value()?;
         cursor.skip_ws();
@@ -215,13 +224,19 @@ fn render_string(out: &mut String, s: &str) {
 pub const MAX_PARSE_DEPTH: usize = 64;
 
 struct Cursor<'a> {
+    text: &'a str,
+    /// `text` as bytes; `at` indexes both.
     bytes: &'a [u8],
     at: usize,
     /// Containers currently open ([`MAX_PARSE_DEPTH`]-bounded).
     depth: usize,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
+    fn new(text: &'a str) -> Cursor<'a> {
+        Cursor { text, bytes: text.as_bytes(), at: 0, depth: 0 }
+    }
+
     fn descend(&mut self) -> Result<(), String> {
         self.depth += 1;
         if self.depth > MAX_PARSE_DEPTH {
@@ -294,9 +309,6 @@ impl Cursor<'_> {
         loop {
             self.skip_ws();
             let key = self.parse_string()?;
-            if pairs.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?}"));
-            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -308,6 +320,9 @@ impl Cursor<'_> {
                 Some(b'}') => {
                     self.at += 1;
                     self.depth -= 1;
+                    if let Some(key) = first_duplicate_key(&pairs) {
+                        return Err(format!("duplicate key {key:?}"));
+                    }
                     return Ok(JsonValue::Object(pairs));
                 }
                 other => return Err(format!("expected ',' or '}}' after a pair, found {other:?}")),
@@ -348,39 +363,31 @@ impl Cursor<'_> {
         let start = self.at;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` as one slice. Both
+            // delimiters are ASCII, so the run ends on a char boundary.
+            let Some(run) = self.bytes[self.at..].iter().position(|&b| b == b'"' || b == b'\\')
+            else {
+                return Err(format!("unterminated string starting at byte {start}"));
+            };
+            out.push_str(&self.text[self.at..self.at + run]);
+            self.at += run + 1;
+            if self.bytes[self.at - 1] == b'"' {
+                return Ok(out);
+            }
             match self.peek() {
                 Some(b'"') => {
+                    out.push('"');
                     self.at += 1;
-                    return Ok(out);
                 }
                 Some(b'\\') => {
+                    out.push('\\');
                     self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => {
-                            out.push('"');
-                            self.at += 1;
-                        }
-                        Some(b'\\') => {
-                            out.push('\\');
-                            self.at += 1;
-                        }
-                        Some(b'u') => {
-                            self.at += 1;
-                            out.push(self.parse_unicode_escape()?);
-                        }
-                        other => return Err(format!("unsupported escape {other:?} in string")),
-                    }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar, not one byte: the input
-                    // is a &str, so char boundaries are well defined.
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| format!("invalid UTF-8 in string at byte {}", self.at))?;
-                    let c = rest.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                Some(b'u') => {
+                    self.at += 1;
+                    out.push(self.parse_unicode_escape()?);
                 }
-                None => return Err(format!("unterminated string starting at byte {start}")),
+                other => return Err(format!("unsupported escape {other:?} in string")),
             }
         }
     }
@@ -407,9 +414,19 @@ impl Cursor<'_> {
         while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
             self.at += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ascii digits");
+        let text = &self.text[start..self.at];
         text.parse::<f64>().map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
     }
+}
+
+/// The first key, in document order, that repeats an earlier key of
+/// the same object. Sorting (key, position) pairs puts every repeat
+/// right after an equal key, so this costs O(k log k) for k keys.
+fn first_duplicate_key(pairs: &[(String, JsonValue)]) -> Option<&str> {
+    let mut keys: Vec<(&str, usize)> =
+        pairs.iter().enumerate().map(|(i, (key, _))| (key.as_str(), i)).collect();
+    keys.sort_unstable();
+    keys.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| w[1].1).min().map(|i| pairs[i].0.as_str())
 }
 
 /// The content hash behind the artifact store's addressing: object
@@ -496,6 +513,8 @@ fn le_word(word: &[u8]) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use super::*;
 
     fn sample() -> JsonValue {
@@ -616,6 +635,222 @@ mod tests {
             assert_eq!(text, "null", "JSON cannot carry {bad}");
             JsonValue::parse(&text).expect("the fallback stays parseable");
         }
+    }
+
+    /// The string scan the reader used before it became linear: one
+    /// UTF-8 scalar per step, decoded by re-validating the whole unread
+    /// rest of the document. Quadratic in the document, so fit only for
+    /// small inputs; kept as the oracle the linear scan must agree with.
+    fn per_char_parse_string(cursor: &mut Cursor) -> Result<String, String> {
+        cursor.expect(b'"')?;
+        let start = cursor.at;
+        let mut out = String::new();
+        loop {
+            match cursor.peek() {
+                Some(b'"') => {
+                    cursor.at += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    cursor.at += 1;
+                    match cursor.peek() {
+                        Some(b'"') => {
+                            out.push('"');
+                            cursor.at += 1;
+                        }
+                        Some(b'\\') => {
+                            out.push('\\');
+                            cursor.at += 1;
+                        }
+                        Some(b'u') => {
+                            cursor.at += 1;
+                            out.push(cursor.parse_unicode_escape()?);
+                        }
+                        other => return Err(format!("unsupported escape {other:?} in string")),
+                    }
+                }
+                Some(_) => {
+                    let rest = std::str::from_utf8(&cursor.bytes[cursor.at..])
+                        .map_err(|_| format!("invalid UTF-8 in string at byte {}", cursor.at))?;
+                    let c = rest.chars().next().expect("peeked a byte");
+                    out.push(c);
+                    cursor.at += c.len_utf8();
+                }
+                None => return Err(format!("unterminated string starting at byte {start}")),
+            }
+        }
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        let mut x = *state;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *state = x;
+        x
+    }
+
+    /// A scalar drawn from `lo..hi`, or `fallback` where the draw lands
+    /// on a surrogate.
+    fn scalar_in(state: &mut u64, lo: u32, hi: u32, fallback: char) -> char {
+        char::from_u32(lo + (xorshift(state) % u64::from(hi - lo)) as u32).unwrap_or(fallback)
+    }
+
+    /// A seeded string literal: ASCII runs, raw control bytes, 2/3/4-byte
+    /// scalars, `\"`, `\\`, good and bad `\u` escapes, unsupported
+    /// escapes and early closing quotes, in any order (so also at the
+    /// start and end), closed or not.
+    fn random_literal(state: &mut u64) -> String {
+        let mut text = String::from("\"");
+        for _ in 0..xorshift(state) % 10 {
+            match xorshift(state) % 11 {
+                0 => {
+                    for _ in 0..xorshift(state) % 7 {
+                        text.push(scalar_in(state, 0x20, 0x7f, 'a'));
+                    }
+                }
+                1 => text.push(scalar_in(state, 0x00, 0x20, ' ')),
+                2 => text.push(scalar_in(state, 0x80, 0x800, 'é')),
+                3 => text.push(scalar_in(state, 0x800, 0x1_0000, '€')),
+                4 => text.push(scalar_in(state, 0x1_0000, 0x11_0000, '𝄞')),
+                5 => text.push_str("\\\""),
+                6 => text.push_str("\\\\"),
+                7 => {
+                    let _ = write!(text, "\\u{:04x}", xorshift(state) % 0x1_0000);
+                }
+                8 => {
+                    let bad = ["n", "/", "u12", "uZZZZ", "u+04", "u00é", "é"];
+                    text.push('\\');
+                    text.push_str(bad[(xorshift(state) % bad.len() as u64) as usize]);
+                }
+                9 => text.push('"'),
+                _ => text.push_str("\\u0041"),
+            }
+        }
+        match xorshift(state) % 5 {
+            0 => {}
+            1 => text.push('\\'),
+            _ => text.push_str("\", 1]"),
+        }
+        text
+    }
+
+    #[test]
+    fn linear_string_scan_matches_the_per_char_oracle() {
+        let fixed = [
+            "\"\"",
+            "\"",
+            "\"\\\"\"",
+            "\"\\\\\"",
+            "\"\\\"x\\\\\"",
+            "\"abc",
+            "\"é€𝄞",
+            "\"\\",
+            "\"\\u00",
+            "\"\\u0041\"",
+            "\"\\ud800\"",
+            "\"\\u00é\"",
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        let generated: Vec<String> = (0..4000).map(|_| random_literal(&mut state)).collect();
+        let (mut ok, mut unterminated, mut other) = (0, 0, 0);
+        for text in fixed.iter().copied().chain(generated.iter().map(String::as_str)) {
+            let mut linear = Cursor::new(text);
+            let mut oracle = Cursor::new(text);
+            let got = linear.parse_string();
+            assert_eq!(got, per_char_parse_string(&mut oracle), "input {text:?}");
+            match &got {
+                Ok(_) => {
+                    assert_eq!(linear.at, oracle.at, "both stop after the closing quote: {text:?}");
+                    ok += 1;
+                }
+                Err(e) if e.starts_with("unterminated string starting at byte") => {
+                    unterminated += 1
+                }
+                Err(_) => other += 1,
+            }
+        }
+        // The inputs reach every outcome, not just the happy path.
+        assert!(ok > 500 && unterminated > 100 && other > 500, "{ok}/{unterminated}/{other}");
+    }
+
+    /// One wire frame: the largest document a peer can hand the reader.
+    const FRAME: usize = crate::net::MAX_FRAME_PAYLOAD as usize;
+
+    /// Generous even for an unoptimized build, yet a reader quadratic in
+    /// the document needs minutes for either document below.
+    const FRAME_PARSE_BOUND: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn a_one_frame_string_parses_in_linear_time() {
+        let unit = "kernel_sm75_é€𝄞 \\\"\\\\\\u0041";
+        let decoded_unit = "kernel_sm75_é€𝄞 \"\\A";
+        let mut text = String::with_capacity(FRAME);
+        let mut decoded = String::new();
+        text.push('"');
+        while text.len() + unit.len() < FRAME {
+            text.push_str(unit);
+            decoded.push_str(decoded_unit);
+        }
+        while text.len() + 1 < FRAME {
+            text.push('a');
+            decoded.push('a');
+        }
+        text.push('"');
+        assert_eq!(text.len(), FRAME);
+
+        let started = Instant::now();
+        let parsed = JsonValue::parse(&text).expect("a one-frame string parses");
+        let elapsed = started.elapsed();
+        assert_eq!(parsed, JsonValue::Text(decoded));
+        assert!(elapsed < FRAME_PARSE_BOUND, "a {FRAME}-byte string took {elapsed:?}");
+    }
+
+    #[test]
+    fn a_one_frame_object_of_distinct_keys_parses_in_linear_time() {
+        let mut text = String::with_capacity(FRAME);
+        text.push('{');
+        let (mut keys, mut last_key) = (0, 0);
+        loop {
+            let pair = format!("\"k{keys:07}\": {keys},");
+            if text.len() + pair.len() + 1 > FRAME {
+                break;
+            }
+            last_key = text.len() + 1;
+            text.push_str(&pair);
+            keys += 1;
+        }
+        text.pop();
+        while text.len() + 1 < FRAME {
+            text.push(' ');
+        }
+        text.push('}');
+        assert_eq!(text.len(), FRAME);
+
+        let started = Instant::now();
+        let parsed = JsonValue::parse(&text).expect("distinct keys parse");
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.as_object().map(<[_]>::len), Some(keys));
+        assert!(elapsed < FRAME_PARSE_BOUND, "{keys} distinct keys took {elapsed:?}");
+
+        // Renaming the last key to repeat an early one is still caught,
+        // and the repeat is named.
+        text.replace_range(last_key..last_key + 8, "k0000001");
+        let started = Instant::now();
+        let err = JsonValue::parse(&text).unwrap_err();
+        let elapsed = started.elapsed();
+        assert_eq!(err, "duplicate key \"k0000001\"");
+        assert!(
+            elapsed < FRAME_PARSE_BOUND,
+            "rejecting a repeat among {keys} keys took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn the_first_repeat_in_document_order_is_the_one_named() {
+        let err =
+            JsonValue::parse("{\"b\": 0, \"a\": 1, \"c\": 2, \"a\": 3, \"b\": 4}").unwrap_err();
+        assert_eq!(err, "duplicate key \"a\"");
     }
 
     #[test]
